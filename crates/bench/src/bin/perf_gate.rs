@@ -75,7 +75,7 @@ fn main() {
 fn load(path: &str) -> Vec<(String, f64)> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    json::parse(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
+    json::metrics(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
 }
 
 fn required(name: &str) -> String {

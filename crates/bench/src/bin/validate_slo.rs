@@ -85,7 +85,7 @@ fn lookup(pairs: &[(String, f64)], metric: &str) -> Option<f64> {
 fn load(path: &str) -> Vec<(String, f64)> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    json::parse(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
+    json::metrics(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
 }
 
 fn flag_or(name: &str, default: f64) -> f64 {

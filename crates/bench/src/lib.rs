@@ -152,15 +152,17 @@ impl Experiment {
     }
 }
 
-/// Minimal flat-JSON support for the `BENCH_*.json` artifacts the perf
-/// gate compares.
+/// Flat-JSON support for the `BENCH_*.json` artifacts the perf gate
+/// compares.
 ///
 /// The benchmarks emit one flat object of numeric metrics; the checked-in
-/// baselines are the same shape. A full JSON implementation would pull in
-/// a dependency for what is ultimately `{"metric": number, ...}`, so this
-/// module hand-rolls exactly that subset: string keys, finite `f64`
-/// values, no nesting.
+/// baselines are the same shape. [`emit`](json::emit) writes it (one
+/// metric per line, so baselines diff well); [`metrics`](json::metrics)
+/// reads it back through the workspace's one JSON parser,
+/// [`identd::json::parse`].
 pub mod json {
+    use identd::json::Json;
+
     /// Serializes metric pairs as a flat JSON object, preserving order.
     ///
     /// # Panics
@@ -181,32 +183,17 @@ pub mod json {
 
     /// Parses a flat JSON object of numeric values (the shape [`emit`]
     /// writes). Returns key/value pairs in file order.
-    pub fn parse(text: &str) -> Result<Vec<(String, f64)>, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("expected a top-level JSON object")?;
-        let mut pairs = Vec::new();
-        for entry in body.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) =
-                entry.split_once(':').ok_or_else(|| format!("missing ':' in entry {entry:?}"))?;
-            let key = key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| format!("key is not a JSON string: {key:?}"))?;
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad number for {key:?}: {e} ({value:?})"))?;
-            pairs.push((key.to_string(), value));
-        }
-        Ok(pairs)
+    pub fn metrics(text: &str) -> Result<Vec<(String, f64)>, String> {
+        let Json::Obj(fields) = identd::json::parse(text).map_err(|e| e.to_string())? else {
+            return Err("expected a top-level JSON object".to_string());
+        };
+        fields
+            .into_iter()
+            .map(|(key, value)| match value {
+                Json::Num(n) => Ok((key.into_owned(), n)),
+                other => Err(format!("metric {key:?} is not a number: {}", other.to_line())),
+            })
+            .collect()
     }
 }
 
@@ -352,7 +339,7 @@ mod tests {
             ("steals", 0.0),
             ("tiny", 1e-9),
         ]);
-        let parsed = json::parse(&text).unwrap();
+        let parsed = json::metrics(&text).unwrap();
         assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[0], ("cells_per_sec".to_string(), 1234.5));
         assert_eq!(parsed[1], ("arena_hit_rate".to_string(), 0.875));
@@ -361,13 +348,30 @@ mod tests {
     }
 
     #[test]
+    fn every_committed_baseline_loads() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines");
+        let mut loaded = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let pairs = json::metrics(&text)
+                    .unwrap_or_else(|e| panic!("{} does not load: {e}", path.display()));
+                assert!(!pairs.is_empty(), "{} has no metrics", path.display());
+                loaded += 1;
+            }
+        }
+        assert!(loaded > 0, "no baselines found in {dir}");
+    }
+
+    #[test]
     fn flat_json_rejects_garbage() {
-        assert!(json::parse("[]").is_err());
-        assert!(json::parse("{\"a\" 1}").is_err());
-        assert!(json::parse("{\"a\": \"text\"}").is_err());
-        assert!(json::parse("{a: 1}").is_err());
+        assert!(json::metrics("[]").is_err());
+        assert!(json::metrics("{\"a\" 1}").is_err());
+        assert!(json::metrics("{\"a\": \"text\"}").is_err());
+        assert!(json::metrics("{a: 1}").is_err());
         // Empty object is fine.
-        assert_eq!(json::parse("{}").unwrap(), vec![]);
+        assert_eq!(json::metrics("{}").unwrap(), vec![]);
     }
 
     #[test]
@@ -412,7 +416,7 @@ mod tests {
         // (`perf_gate --metrics ... --metrics-lower ...` in one
         // invocation); both directions must read the same parsed pairs.
         let text = json::emit(&[("train_speedup_vs_exact", 3.0), ("acc_delta_auto", 0.04)]);
-        let baseline = json::parse(&text).unwrap();
+        let baseline = json::metrics(&text).unwrap();
 
         let good = vec![
             ("train_speedup_vs_exact".to_string(), 2.6),

@@ -13,8 +13,16 @@
 //! including surrogate pairs, and reports byte offsets in errors. It must
 //! never panic on any input — the protocol fuzz tests drive arbitrary
 //! bytes through it.
+//!
+//! The writer is the only encoder on the wire: replies, client requests
+//! and transaction tuples all go through [`Json::write_line`]. It writes
+//! into one presized buffer — integers digit by digit, escape-free string
+//! runs in one copy — so encoding a value allocates nothing beyond that
+//! buffer, and object keys are `&'static str` wherever the protocol names
+//! them.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. The protocol needs three
 /// levels (request object → transaction list → transaction tuple); the
@@ -37,7 +45,8 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object as an ordered key-value list (duplicate keys are kept;
     /// lookups take the first, insertion order is preserved on write).
-    Obj(Vec<(String, Json)>),
+    /// Keys the protocol names are borrowed; parsed keys are owned.
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
@@ -94,12 +103,18 @@ impl Json {
     /// the daemon must never emit one (counters and timestamps are always
     /// finite).
     pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.write_line(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the [`to_line`](Self::to_line) encoding to `out`, so a
+    /// caller can reuse one buffer across values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-finite numbers, like [`to_line`](Self::to_line).
+    pub fn write_line(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -110,9 +125,9 @@ impl Json {
                 // Display never uses exponent notation, so every output
                 // re-parses as the same value.
                 if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                    write_int(*n as i64, out);
                 } else {
-                    out.push_str(&format!("{n}"));
+                    write!(out, "{n}").expect("writing to a String cannot fail");
                 }
             }
             Json::Str(s) => write_escaped(s, out),
@@ -122,7 +137,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_line(out);
                 }
                 out.push(']');
             }
@@ -134,27 +149,100 @@ impl Json {
                     }
                     write_escaped(key, out);
                     out.push(':');
-                    value.write(out);
+                    value.write_line(out);
                 }
                 out.push('}');
             }
         }
     }
-}
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    /// A cheap estimate of the encoded length, so [`to_line`](Self::to_line)
+    /// usually fills its buffer without growing it.
+    fn encoded_len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Num(_) => 12,
+            Json::Str(s) => s.len() + 2,
+            Json::Arr(items) => {
+                2 + items.iter().map(|item| item.encoded_len_hint() + 1).sum::<usize>()
+            }
+            Json::Obj(fields) => {
+                2 + fields
+                    .iter()
+                    .map(|(key, value)| key.len() + 4 + value.encoded_len_hint())
+                    .sum::<usize>()
+            }
         }
     }
+}
+
+/// `"00"`, `"01"`, …, `"99"`: two digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends the decimal digits of `value`, as `format!("{value}")` would,
+/// two digits per division.
+fn write_int(value: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = value.unsigned_abs();
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + rest as u8;
+    }
+    if value < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal. Runs that need no escaping are
+/// copied whole, so a plain string costs one copy.
+fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escapes are ASCII, so `run..at` lies on char boundaries.
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -261,7 +349,7 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            fields.push((Cow::Owned(key), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,

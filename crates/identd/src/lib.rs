@@ -51,6 +51,17 @@
 //! overload and answers their producers `{"ok":false,"error":
 //! "overloaded"}` instead of disconnecting.
 //!
+//! Every connection carries a read/write timeout
+//! ([`DaemonConfig::idle_timeout`], 30 s by default); a client silent
+//! for that long is disconnected, so idle sockets cannot hold the worker
+//! pool.
+//!
+//! Encoding allocates nothing per number, key or string: integers are
+//! written digit by digit into one presized line, escape-free strings in
+//! one copy, and protocol keys are borrowed `&'static str`s (see
+//! [`json`]). A decision record costs its value tree (one object, two id
+//! lists) and its line; a connection reuses one reply buffer.
+//!
 //! `drain` stops the accept loop (joined before the reply, so refusal of
 //! new connections is observable), flushes every open window through the
 //! engine's eviction path, and leaves tenants alive so the draining

@@ -21,6 +21,7 @@ OPTIONS:
     --top-k N            candidate-prefilter shortlist size; 0 = exhaustive (default 16)
     --mailbox-cap N      queued ingest batches per tenant before shedding (default 256)
     --decision-cap N     buffered decisions per tenant before dropping (default 65536)
+    --idle-timeout SECS  disconnect clients silent this long; 0 = never (default 30)
     --lossy              preloaded tenants tolerate partly-corrupt stores
     --tenant NAME=DIR    preload a tenant from a model-store directory (repeatable)
     --help               print this help
@@ -61,6 +62,10 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--top-k" => top_k = parse_num(&flag, &value("count")?)?,
             "--mailbox-cap" => config.mailbox_cap = parse_positive(&flag, &value("count")?)?,
             "--decision-cap" => config.decision_cap = parse_positive(&flag, &value("count")?)?,
+            "--idle-timeout" => {
+                config.idle_timeout =
+                    std::time::Duration::from_secs(parse_num(&flag, &value("seconds")?)?)
+            }
             "--tenant" => {
                 let spec = value("NAME=DIR")?;
                 let (name, dir) = spec

@@ -50,6 +50,10 @@ pub struct DaemonConfig {
     /// Longest accepted request line (longer lines are discarded and
     /// answered `line_too_long`).
     pub max_line_bytes: usize,
+    /// Read and write timeout of every connection. A client that sends
+    /// nothing (or reads no reply) for this long is disconnected, so idle
+    /// sockets cannot hold the worker pool. Zero disables the timeout.
+    pub idle_timeout: Duration,
 }
 
 impl Default for DaemonConfig {
@@ -63,6 +67,7 @@ impl Default for DaemonConfig {
             mailbox_cap: 256,
             decision_cap: 65_536,
             max_line_bytes: 8 << 20,
+            idle_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -259,10 +264,17 @@ fn discard_to_newline(reader: &mut BufReader<TcpStream>) -> io::Result<()> {
     }
 }
 
+/// Serves one connection until EOF, an I/O error, or `idle_timeout`
+/// without traffic (the timed-out read or write is that error); returning
+/// drops the socket.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
+    let idle = Some(shared.config.idle_timeout).filter(|timeout| !timeout.is_zero());
+    stream.set_read_timeout(idle)?;
+    stream.set_write_timeout(idle)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
+    let mut reply_line = String::new();
     loop {
         let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes)? {
             LineRead::Eof => return Ok(()),
@@ -271,7 +283,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
                     "line_too_long",
                     format!("request lines are capped at {} bytes", shared.config.max_line_bytes),
                 );
-                write_reply(&mut writer, shared, Err(err))?;
+                write_reply(&mut writer, shared, Err(err), &mut reply_line)?;
                 continue;
             }
             LineRead::Line(mut bytes) => {
@@ -289,24 +301,27 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
             Err(e) => Err(ProtoError::new("invalid_utf8", e.to_string())),
             Ok(text) => proto::parse_request(text).and_then(|request| dispatch(shared, request)),
         };
-        write_reply(&mut writer, shared, reply)?;
+        write_reply(&mut writer, shared, reply, &mut reply_line)?;
     }
 }
 
+/// Encodes a reply into the connection's reused `line` buffer and sends it.
 fn write_reply(
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
     reply: Result<Json, ProtoError>,
+    line: &mut String,
 ) -> io::Result<()> {
-    let line = match reply {
-        Ok(value) => value.to_line(),
+    line.clear();
+    match reply {
+        Ok(value) => value.write_line(line),
         Err(err) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            err.to_reply_line()
+            line.push_str(&err.to_reply_line());
         }
-    };
+    }
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -449,7 +464,7 @@ fn stats_reply(shared: &Shared) -> Result<Json, ProtoError> {
             continue;
         }
         if let Ok(Reply::Stats(stats)) = reply_rx.recv() {
-            tenants.push((name, tenant_stats_json(&stats)));
+            tenants.push((name.into(), tenant_stats_json(&stats)));
         }
     }
     Ok(Json::Obj(vec![

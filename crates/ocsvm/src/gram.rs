@@ -588,13 +588,19 @@ mod tests {
 
     #[test]
     fn rows_are_computed_lazily_and_at_most_once() {
+        // Counts this matrix's materialized rows: other tests of this
+        // binary run in parallel and move the process-wide counter too.
+        let materialized =
+            |gram: &GramMatrix<'_>| gram.rows.iter().filter(|row| row.get().is_some()).count();
         let pts = points();
         let gram = GramMatrix::compute(Kernel::Linear, &pts);
+        assert_eq!(materialized(&gram), 0, "compute materializes no row");
         let before = GramMatrix::rows_computed();
         let first = Arc::as_ptr(gram.row(2));
-        assert_eq!(GramMatrix::rows_computed(), before + 1, "first access materializes");
+        assert_eq!(materialized(&gram), 1, "first access materializes");
+        assert!(GramMatrix::rows_computed() > before, "the process-wide counter saw it");
         assert_eq!(Arc::as_ptr(gram.row(2)), first, "repeat access returns the same row");
-        assert_eq!(GramMatrix::rows_computed(), before + 1, "repeat access computes nothing");
+        assert_eq!(materialized(&gram), 1, "repeat access computes nothing");
     }
 
     #[test]

@@ -116,21 +116,6 @@ fn svdd_gram_path_reproduces_on_the_fly_models() {
 }
 
 #[test]
-fn one_gram_matrix_serves_a_whole_regularization_sweep() {
-    // The grid-search usage pattern: one matrix, 15 solver runs against it.
-    let data = training_data();
-    let kernel = Kernel::Rbf { gamma: 0.8 };
-    let gram = GramMatrix::compute(kernel, &data);
-    let before = GramMatrix::computations();
-    for i in 1..=15 {
-        let nu = i as f64 / 16.0;
-        let model = NuOcSvm::new(nu, kernel).train_with_gram(&data, &gram).expect("trains");
-        assert!(model.support_vector_count() > 0, "nu={nu}");
-    }
-    assert_eq!(GramMatrix::computations(), before, "sweep must not recompute the Gram matrix");
-}
-
-#[test]
 fn shared_row_scoring_matches_per_point_decisions() {
     // `training_decision_values` / `cross_decision_values` read shared
     // kernel rows instead of re-evaluating k(sv, x) per model; for

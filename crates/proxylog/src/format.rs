@@ -10,6 +10,13 @@
 //! Fields: timestamp, domain, uri-scheme, http-action, user, device,
 //! category, media type, application type, reputation, destination
 //! visibility (`public`/`private`).
+//!
+//! Both directions are allocation-free per line. [`LineFormatter`] writes
+//! into a reused buffer; [`parse_line`] splits a line into a fixed array
+//! of field slices in one pass and decodes every field in place, and
+//! [`LogReader`] and [`LogTail`] frame lines inside their own buffers
+//! through one shared splitter, so reading a well-formed log allocates
+//! nothing per line.
 
 use crate::record::{HttpAction, Reputation, SiteId, Transaction, UriScheme};
 use crate::taxonomy::Taxonomy;
@@ -243,19 +250,19 @@ fn field_err(field: usize, message: impl Into<String>) -> ParseLineError {
 
 /// Parses one log line produced by [`format_line`].
 ///
+/// The line is split on `", "` in one pass into a fixed array of field
+/// slices, and every field is decoded in place: a well-formed line costs
+/// no allocation.
+///
 /// # Errors
 ///
 /// Returns [`ParseLineError`] naming the offending field when the line has
 /// the wrong arity, a malformed field, or taxonomy names unknown to
 /// `taxonomy`.
 pub fn parse_line(line: &str, taxonomy: &Taxonomy) -> Result<Transaction, ParseLineError> {
-    let fields: Vec<&str> = line.split(", ").collect();
-    if fields.len() != FIELD_COUNT {
-        return Err(field_err(
-            FIELD_COUNT,
-            format!("expected {FIELD_COUNT} fields, found {}", fields.len()),
-        ));
-    }
+    let fields = split_fields(line).map_err(|found| {
+        field_err(FIELD_COUNT, format!("expected {FIELD_COUNT} fields, found {found}"))
+    })?;
     let timestamp: Timestamp = fields[0].parse().map_err(|e| field_err(0, format!("{e}")))?;
     let site = parse_site(fields[1]).ok_or_else(|| field_err(1, "invalid domain"))?;
     let scheme: UriScheme = fields[2].parse().map_err(|e| field_err(2, format!("{e}")))?;
@@ -290,6 +297,54 @@ pub fn parse_line(line: &str, taxonomy: &Taxonomy) -> Result<Transaction, ParseL
         reputation,
         private_destination,
     })
+}
+
+/// Splits `line` on `", "` exactly as `line.split(", ")` does; a line
+/// without [`FIELD_COUNT`] pieces yields its piece count instead.
+fn split_fields(line: &str) -> Result<[&str; FIELD_COUNT], usize> {
+    let bytes = line.as_bytes();
+    let mut fields = [""; FIELD_COUNT];
+    let mut count = 0;
+    let mut start = 0;
+    let mut from = 0;
+    while let Some(comma) = find_byte(&bytes[from..], b',').map(|at| from + at) {
+        from = comma + 1;
+        if bytes.get(from) != Some(&b' ') {
+            continue;
+        }
+        if count < FIELD_COUNT {
+            // Both ends sit next to ASCII bytes: char boundaries.
+            fields[count] = &line[start..comma];
+        }
+        count += 1;
+        from += 1;
+        start = from;
+    }
+    if count + 1 != FIELD_COUNT {
+        return Err(count + 1);
+    }
+    fields[count] = &line[start..];
+    Ok(fields)
+}
+
+/// Offset of the first `needle` in `bytes`, testing eight bytes per step.
+fn find_byte(bytes: &[u8], needle: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let pattern = ONES * u64::from(needle);
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in &mut words {
+        let diff = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ pattern;
+        // High bit set in each byte of `diff` that is zero; bytes above
+        // the first zero may be flagged spuriously, the lowest flag never.
+        let zeros = diff.wrapping_sub(ONES) & !diff & HIGHS;
+        if zeros != 0 {
+            return Some(offset + zeros.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    words.remainder().iter().position(|&b| b == needle).map(|at| offset + at)
 }
 
 fn parse_site(domain: &str) -> Option<SiteId> {
@@ -339,12 +394,43 @@ pub fn read_log<R: BufRead>(reader: R, taxonomy: &Taxonomy) -> io::Result<Vec<Tr
     LogReader::new(reader, taxonomy).collect()
 }
 
+/// Parses one framed line for [`LogReader`] and [`LogTail`]: its bytes up
+/// to and including the `\n` that ends it (a final line may lack one).
+///
+/// Exactly one `\r` before the `\n` is dropped (a CRLF log parses, a
+/// stray CR inside the last field does not). Blank and whitespace-only
+/// lines yield `None`; bad UTF-8 and malformed lines yield
+/// `io::ErrorKind::InvalidData` naming `line_no`.
+fn parse_framed(
+    raw: &[u8],
+    line_no: usize,
+    taxonomy: &Taxonomy,
+) -> Option<io::Result<Transaction>> {
+    let raw = match raw.strip_suffix(b"\n") {
+        Some(body) => body.strip_suffix(b"\r").unwrap_or(body),
+        None => raw,
+    };
+    let invalid = |detail: &dyn fmt::Display| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("line {line_no}: {detail}"))
+    };
+    match std::str::from_utf8(raw) {
+        Err(_) => Some(Err(invalid(&"invalid UTF-8"))),
+        Ok(line) if line.trim_start().is_empty() => None,
+        Ok(line) => Some(parse_line(line, taxonomy).map_err(|e| invalid(&e))),
+    }
+}
+
 /// Lazy log reader: yields one transaction per line, so multi-gigabyte
 /// logs can be filtered or windowed without loading everything.
 ///
 /// Produced transactions are in file order; blank lines are skipped. Each
 /// item is a `Result`, with parse failures reported as
 /// `io::ErrorKind::InvalidData` carrying the line number.
+///
+/// Lines are framed inside the reader's own buffer and parsed in place; a
+/// line is copied (into one buffer reused for the whole log) only when it
+/// straddles a refill. Reading a well-formed log costs no allocation per
+/// line.
 ///
 /// # Examples
 ///
@@ -358,15 +444,17 @@ pub fn read_log<R: BufRead>(reader: R, taxonomy: &Taxonomy) -> io::Result<Vec<Tr
 /// ```
 #[derive(Debug)]
 pub struct LogReader<'a, R> {
-    lines: std::io::Lines<R>,
+    reader: R,
     taxonomy: &'a Taxonomy,
+    /// The head of a line that straddles a refill of `reader`'s buffer.
+    spill: Vec<u8>,
     line_no: usize,
 }
 
 impl<'a, R: BufRead> LogReader<'a, R> {
     /// Creates a reader over `reader` (which may be a `&mut` reference).
     pub fn new(reader: R, taxonomy: &'a Taxonomy) -> Self {
-        Self { lines: reader.lines(), taxonomy, line_no: 0 }
+        Self { reader, taxonomy, spill: Vec::new(), line_no: 0 }
     }
 }
 
@@ -375,18 +463,42 @@ impl<R: BufRead> Iterator for LogReader<'_, R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            self.line_no += 1;
-            match self.lines.next()? {
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Some(Err(e)),
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => {
-                    return Some(parse_line(&line, self.taxonomy).map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("line {}: {e}", self.line_no),
-                        )
-                    }));
+            };
+            let (item, used) = match find_byte(available, b'\n') {
+                Some(nl) => {
+                    self.line_no += 1;
+                    let item = if self.spill.is_empty() {
+                        parse_framed(&available[..=nl], self.line_no, self.taxonomy)
+                    } else {
+                        self.spill.extend_from_slice(&available[..=nl]);
+                        let item = parse_framed(&self.spill, self.line_no, self.taxonomy);
+                        self.spill.clear();
+                        item
+                    };
+                    (item, nl + 1)
                 }
+                None if available.is_empty() => {
+                    if self.spill.is_empty() {
+                        return None;
+                    }
+                    // End of input: the spill is a last line without `\n`.
+                    self.line_no += 1;
+                    let item = parse_framed(&self.spill, self.line_no, self.taxonomy);
+                    self.spill.clear();
+                    (item, 0)
+                }
+                None => {
+                    self.spill.extend_from_slice(available);
+                    (None, available.len())
+                }
+            };
+            self.reader.consume(used);
+            if item.is_some() {
+                return item;
             }
         }
     }
@@ -487,31 +599,17 @@ impl<'a, R: Read> LogTail<'a, R> {
         let mut consumed = 0;
         let mut error = None;
         while error.is_none() {
-            let Some(nl) = self.carry[consumed..].iter().position(|&b| b == b'\n') else {
+            let Some(nl) = find_byte(&self.carry[consumed..], b'\n') else {
                 break;
             };
-            let line_end = consumed + nl;
+            let line_end = consumed + nl + 1;
             self.line_no += 1;
-            let raw = &self.carry[consumed..line_end];
-            consumed = line_end + 1;
-            match std::str::from_utf8(raw) {
-                Ok(line) if line.trim().is_empty() => {}
-                Ok(line) => match parse_line(line.trim_end_matches('\r'), self.taxonomy) {
-                    Ok(tx) => out.push(tx),
-                    Err(e) => {
-                        error = Some(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("line {}: {e}", self.line_no),
-                        ));
-                    }
-                },
-                Err(_) => {
-                    error = Some(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {}: invalid UTF-8", self.line_no),
-                    ));
-                }
+            match parse_framed(&self.carry[consumed..line_end], self.line_no, self.taxonomy) {
+                None => {}
+                Some(Ok(tx)) => out.push(tx),
+                Some(Err(e)) => error = Some(e),
             }
+            consumed = line_end;
         }
         self.carry.drain(..consumed);
         match error {

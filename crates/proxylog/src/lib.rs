@@ -11,7 +11,8 @@
 //!   Tab. I at [`Taxonomy::paper_scale`];
 //! * [`format_line`] / [`parse_line`] / [`write_log`] / [`read_log`] — the
 //!   text log format, with [`LineFormatter`] as the zero-allocation
-//!   byte-level serializer behind the bulk writers;
+//!   byte-level serializer behind the bulk writers and [`LogReader`] /
+//!   [`LogTail`] as allocation-free per-line readers;
 //! * [`Dataset`] — indexing plus the paper's preprocessing: minimum
 //!   transaction filtering and chronological per-user train/test splits.
 //!

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Index of a website category within a [`Taxonomy`].
@@ -238,9 +239,58 @@ pub struct Taxonomy {
     supertypes: Vec<String>,
     subtypes: Vec<(String, SupertypeId)>,
     app_types: Vec<String>,
-    category_index: HashMap<String, CategoryId>,
-    media_index: HashMap<String, SubtypeId>,
-    app_index: HashMap<String, AppTypeId>,
+    category_index: NameIndex<CategoryId>,
+    media_index: NameIndex<SubtypeId>,
+    app_index: NameIndex<AppTypeId>,
+}
+
+/// Name → id lookup table behind [`Taxonomy`]'s `*_by_name` methods.
+type NameIndex<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
+
+/// Multiply-rotate hasher (the FxHash scheme) for the name indexes.
+///
+/// Log parsing looks up three names per line, so SipHash's per-call cost
+/// shows in the ingest profile. Its flooding resistance buys nothing
+/// here: the tables are filled once from the taxonomy and only read
+/// afterwards, so hostile log text can make lookups miss but cannot
+/// lengthen any probe chain.
+#[derive(Default, Clone, Copy)]
+struct NameHasher(u64);
+
+impl NameHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Eight, then four, then single bytes: no copy of a padded tail.
+        let mut rest = bytes;
+        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*word));
+            rest = tail;
+        }
+        if let Some((word, tail)) = rest.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*word)));
+            rest = tail;
+        }
+        for &byte in rest {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the best-mixed bits on top; the table picks
+        // buckets from the bottom ones.
+        self.0.rotate_left(26)
+    }
 }
 
 impl Taxonomy {

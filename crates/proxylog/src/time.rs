@@ -118,28 +118,55 @@ impl std::error::Error for ParseTimestampError {}
 impl FromStr for Timestamp {
     type Err = ParseTimestampError;
 
+    /// Parses `YYYY-MM-DD HH:MM:SS` in one pass over the bytes. Each of
+    /// the six numbers is what `str::parse` accepts for it: one or more
+    /// digits after an optional `+`, leading zeros and unpadded values
+    /// (`2015-5-29 5:5:4`) included, without overflow of `u32` (`i32` for
+    /// the year).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseTimestampError { input: s.to_owned() };
-        let (date, time) = s.split_once(' ').ok_or_else(err)?;
-        let mut date_parts = date.splitn(3, '-');
-        let mut time_parts = time.splitn(3, ':');
-        let year: i32 = date_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let month: u32 = date_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let day: u32 = date_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let hour: u32 = time_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let minute: u32 = time_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let second: u32 = time_parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        if !(1..=12).contains(&month)
-            || day < 1
-            || day > days_in_month(year, month)
-            || hour >= 24
-            || minute >= 60
-            || second >= 60
-        {
-            return Err(err());
-        }
-        Ok(Timestamp::from_civil(year, month, day, hour, minute, second))
+        parse_civil(s.as_bytes()).ok_or_else(|| ParseTimestampError { input: s.to_owned() })
     }
+}
+
+/// The separator that ends each of the first five numbers of a
+/// timestamp.
+const SEPARATORS: [u8; 5] = *b"-- ::";
+
+fn parse_civil(bytes: &[u8]) -> Option<Timestamp> {
+    let mut numbers = [0u32; 6];
+    let mut at = 0;
+    let mut digits = 0;
+    let mut signed = false;
+    for &byte in bytes {
+        match byte {
+            b'0'..=b'9' => {
+                numbers[at] = numbers[at].checked_mul(10)?.checked_add(u32::from(byte - b'0'))?;
+                digits += 1;
+            }
+            b'+' if digits == 0 && !signed => signed = true,
+            _ if at < SEPARATORS.len() && byte == SEPARATORS[at] && digits > 0 => {
+                at += 1;
+                digits = 0;
+                signed = false;
+            }
+            _ => return None,
+        }
+    }
+    if at != SEPARATORS.len() || digits == 0 {
+        return None;
+    }
+    let [year, month, day, hour, minute, second] = numbers;
+    let year = i32::try_from(year).ok()?;
+    if !(1..=12).contains(&month)
+        || day < 1
+        || day > days_in_month(year, month)
+        || hour >= 24
+        || minute >= 60
+        || second >= 60
+    {
+        return None;
+    }
+    Some(Timestamp::from_civil(year, month, day, hour, minute, second))
 }
 
 fn is_leap(year: i32) -> bool {
